@@ -137,7 +137,8 @@ impl BigRational {
 
     /// True iff `0 <= self <= 1`.
     pub fn is_probability(&self) -> bool {
-        !self.is_negative() && *self <= BigRational::one()
+        // Normalized, denominator positive: p/q <= 1 iff p <= q.
+        !self.is_negative() && self.numer.magnitude() <= &self.denom
     }
 
     pub fn add_ref(&self, other: &BigRational) -> BigRational {
@@ -427,6 +428,13 @@ mod tests {
         assert!(r(1, 2).is_probability());
         assert!(!r(-1, 2).is_probability());
         assert!(!r(3, 2).is_probability());
+        // Multi-limb numerators and denominators: 2^128 ± 1 over 2^128.
+        let big = |n: &str| BigRational::parse(n).unwrap();
+        let two128 = "340282366920938463463374607431768211456";
+        assert!(big(&format!("340282366920938463463374607431768211455/{two128}")).is_probability());
+        assert!(
+            !big(&format!("340282366920938463463374607431768211457/{two128}")).is_probability()
+        );
     }
 
     #[test]

@@ -149,18 +149,43 @@ impl UnreliableDatabase {
 
     /// Set `μ(fact) = p`.
     pub fn set_error(&mut self, fact: &Fact, p: BigRational) -> Result<(), ModelError> {
+        // Only the positive-only check reads the observed bit.
+        let observed = self.model == ErrorModel::Full || self.observed.holds(fact);
+        self.check_state(fact, observed, &p)?;
+        self.mu[self.indexer.index_of(fact)] = p;
+        Ok(())
+    }
+
+    /// Set both halves of one fact's state: whether `𝔄` observes it and
+    /// its `μ`. A stored dataset's facts go through this one mutator,
+    /// on load and on an incremental write alike. On an error (`p` not
+    /// in `[0, 1]`, or `μ > 0` on an absent fact under the positive-only
+    /// model) the model is left unchanged.
+    pub fn set_fact_state(
+        &mut self,
+        fact: &Fact,
+        present: bool,
+        p: BigRational,
+    ) -> Result<(), ModelError> {
+        self.check_state(fact, present, &p)?;
+        let index = self.indexer.index_of(fact);
+        self.observed.set_fact(fact, present);
+        self.mu[index] = p;
+        Ok(())
+    }
+
+    fn check_state(&self, fact: &Fact, present: bool, p: &BigRational) -> Result<(), ModelError> {
         if !p.is_probability() {
             return Err(ModelError::NotAProbability {
                 fact: fact.display(self.observed.vocabulary()).to_string(),
                 value: p.to_string(),
             });
         }
-        if self.model == ErrorModel::PositiveOnly && !p.is_zero() && !self.observed.holds(fact) {
+        if self.model == ErrorModel::PositiveOnly && !p.is_zero() && !present {
             return Err(ModelError::NegativeFactError {
                 fact: fact.display(self.observed.vocabulary()).to_string(),
             });
         }
-        self.mu[self.indexer.index_of(fact)] = p;
         Ok(())
     }
 
@@ -343,6 +368,26 @@ mod tests {
         let mut bad = UnreliableDatabase::reliable(db());
         bad.set_error(&Fact::new(0, vec![1, 0]), r(1, 2)).unwrap();
         assert!(bad.with_model(ErrorModel::PositiveOnly).is_err());
+    }
+
+    #[test]
+    fn set_fact_state_moves_both_halves_or_neither() {
+        let mut ud = UnreliableDatabase::reliable(db())
+            .with_model(ErrorModel::PositiveOnly)
+            .unwrap();
+        let f = Fact::new(0, vec![1, 0]); // E(1,0), observed false
+        ud.set_fact_state(&f, true, r(1, 3)).unwrap();
+        assert!(ud.observed().holds(&f));
+        assert_eq!(ud.mu(&f), &r(1, 3));
+        // Rejected states leave the fact exactly as it was.
+        for (present, p) in [(false, r(1, 2)), (true, r(3, 2)), (false, r(-1, 2))] {
+            assert!(ud.set_fact_state(&f, present, p).is_err());
+            assert!(ud.observed().holds(&f));
+            assert_eq!(ud.mu(&f), &r(1, 3));
+        }
+        ud.set_fact_state(&f, false, r(0, 1)).unwrap();
+        assert!(!ud.observed().holds(&f));
+        assert!(ud.mu(&f).is_zero());
     }
 
     #[test]

@@ -36,7 +36,7 @@ use qrel_eval::FoQuery;
 use qrel_prob::{UnreliableDatabase, UnreliableDatabaseSpec};
 use qrel_runtime::{Method, ProgressHook, Solver};
 use qrel_sched::{CancelOutcome, JobCtx, JobState, Priority, SchedConfig, Scheduler, SubmitError};
-use qrel_store::{live_fact_count, Mutation, Store, StoreError};
+use qrel_store::{live_fact_count, CommitStats, Mutation, Store, StoreError};
 use serde::Value;
 use serde_json::ParseLimits;
 
@@ -511,6 +511,8 @@ struct Shared {
     /// was given. Commits serialize on the mutex; reads go through the
     /// registry and never touch it.
     store: Option<Mutex<Store>>,
+    /// Writes that reloaded a served model found behind the manifest.
+    registry_resyncs: AtomicU64,
     queue: AdmissionQueue,
     shutdown: AtomicBool,
     /// Recent connection drain rate, for the dynamic `Retry-After`.
@@ -569,6 +571,12 @@ impl ServerHandle {
     /// Solves hard-cancelled by the stuck-worker watchdog so far.
     pub fn watchdog_cancels(&self) -> u64 {
         self.shared.exec.metrics.watchdog_cancel_count()
+    }
+
+    /// The model a dataset is served from, with its db-hash.
+    pub fn dataset(&self, name: &str) -> Option<(Arc<UnreliableDatabase>, u64)> {
+        let datasets = self.shared.datasets.read().expect("registry poisoned");
+        datasets.get(name).map(|p| (Arc::clone(&p.ud), p.hash))
     }
 }
 
@@ -637,6 +645,12 @@ fn render_metrics(shared: &Shared) -> String {
                 "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
             ));
         }
+        let name = "qrel_store_registry_resync_total";
+        text.push_str(&format!(
+            "# HELP {name} Writes that found the served model behind the manifest and reloaded it.\n\
+             # TYPE {name} counter\n{name} {}\n",
+            shared.registry_resyncs.load(Ordering::Relaxed)
+        ));
     }
     text
 }
@@ -733,18 +747,9 @@ impl Server {
                     Store::init(dir).map_err(|e| bad(e.to_string()))?
                 };
                 for name in store.dataset_names() {
-                    let mut ds = store.load(&name).map_err(|e| bad(e.to_string()))?;
-                    let ud = ds.build().map_err(|e| bad(e.to_string()))?;
-                    let entry = ds.entry();
-                    datasets.insert(
-                        name,
-                        PreparedDb {
-                            ud: Arc::new(ud),
-                            hash: entry.db_hash,
-                            facts: entry.live_facts,
-                            stored: true,
-                        },
-                    );
+                    let prepared =
+                        Self::load_stored(&store, &name).map_err(|e| bad(e.to_string()))?;
+                    datasets.insert(name, prepared);
                 }
                 Some(Mutex::new(store))
             }
@@ -796,12 +801,29 @@ impl Server {
                 config,
                 datasets: RwLock::new(datasets),
                 store,
+                registry_resyncs: AtomicU64::new(0),
                 queue,
                 shutdown: AtomicBool::new(false),
                 drain_rate: RateEstimator::new(),
                 exec,
                 sched,
             }),
+        })
+    }
+
+    /// Load one stored dataset as the registry serves it: the model
+    /// rebuilt from its segments, under the manifest's db-hash. Boot
+    /// loads every dataset this way, and a write reloads one this way
+    /// when it finds the served model behind the manifest.
+    fn load_stored(store: &Store, name: &str) -> Result<PreparedDb, StoreError> {
+        let mut ds = store.load(name)?;
+        let ud = ds.build()?;
+        let entry = ds.entry();
+        Ok(PreparedDb {
+            ud: Arc::new(ud),
+            hash: entry.db_hash,
+            facts: entry.live_facts,
+            stored: true,
         })
     }
 
@@ -1078,45 +1100,20 @@ fn route(shared: &Shared, req: &Request) -> Response {
 }
 
 fn healthz(shared: &Shared) -> Response {
-    // The registry, not boot-time config, is the source of truth: a
-    // dataset mutated (or created) after startup reports its live fact
-    // count here.
-    let datasets = shared.datasets.read().expect("registry poisoned");
-    let mut entries: Vec<(&String, &PreparedDb)> = datasets.iter().collect();
-    entries.sort_by_key(|(name, _)| name.as_str());
     let state = HealthState::derive(
         shared.shutdown.load(Ordering::SeqCst),
         shared.exec.breakers.any_open(),
     );
     let body = Value::Object(vec![
         ("status".into(), Value::Str(state.as_str().into())),
-        (
-            "datasets".into(),
-            Value::Array(
-                entries
-                    .into_iter()
-                    .map(|(name, p)| {
-                        Value::Object(vec![
-                            ("name".into(), Value::Str(name.clone())),
-                            ("facts".into(), Value::Int(p.facts as i128)),
-                            ("stored".into(), Value::Bool(p.stored)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("datasets".into(), dataset_list(shared, false)),
         ("workers".into(), Value::Int(shared.config.workers as i128)),
         (
             "queue_cap".into(),
             Value::Int(shared.config.queue_cap as i128),
         ),
     ]);
-    Response::json(
-        200,
-        serde_json::to_string(&body)
-            .expect("value serialization is infallible")
-            .into_bytes(),
-    )
+    json_ok(&body)
 }
 
 /// What admission produced for a solve-shaped request: a cache hit
@@ -1589,31 +1586,73 @@ fn job_list(shared: &Shared, req: &Request) -> Response {
 /// `GET /v1/datasets`: every served dataset with its live aggregates
 /// and db-hash (hex, so clients can watch cache keys move).
 fn datasets_list(shared: &Shared) -> Response {
+    json_ok(&Value::Object(vec![(
+        "datasets".into(),
+        dataset_list(shared, true),
+    )]))
+}
+
+/// The registry's datasets sorted by name, with live fact counts. The
+/// registry, not boot-time config, is the source of truth: a dataset
+/// mutated after startup reports its live state here.
+fn dataset_list(shared: &Shared, with_hash: bool) -> Value {
     let datasets = shared.datasets.read().expect("registry poisoned");
     let mut entries: Vec<(&String, &PreparedDb)> = datasets.iter().collect();
     entries.sort_by_key(|(name, _)| name.as_str());
-    let body = Value::Object(vec![(
-        "datasets".into(),
-        Value::Array(
-            entries
-                .into_iter()
-                .map(|(name, p)| {
-                    Value::Object(vec![
-                        ("name".into(), Value::Str(name.clone())),
-                        ("facts".into(), Value::Int(p.facts as i128)),
-                        ("db_hash".into(), Value::Str(format!("{:016x}", p.hash))),
-                        ("stored".into(), Value::Bool(p.stored)),
-                    ])
-                })
-                .collect(),
-        ),
-    )]);
-    Response::json(
-        200,
-        serde_json::to_string(&body)
-            .expect("value serialization is infallible")
-            .into_bytes(),
-    )
+    let entry = |(name, p): (&String, &PreparedDb)| {
+        let mut fields = vec![
+            ("name".into(), Value::Str(name.clone())),
+            ("facts".into(), Value::Int(p.facts as i128)),
+        ];
+        if with_hash {
+            fields.push(("db_hash".into(), Value::Str(format!("{:016x}", p.hash))));
+        }
+        fields.push(("stored".into(), Value::Bool(p.stored)));
+        Value::Object(fields)
+    };
+    Value::Array(entries.into_iter().map(entry).collect())
+}
+
+fn json_ok(body: &Value) -> Response {
+    let text = serde_json::to_string(body).expect("value serialization is infallible");
+    Response::json(200, text.into_bytes())
+}
+
+/// Commit `batch` to a copy of the served model of `name` and swap the
+/// copy into the registry. The served model is patched only when its
+/// hash equals the manifest's (an O(1) tie); otherwise it is reloaded
+/// from disk first. Solves already running keep the model they hold.
+fn commit_live(
+    shared: &Shared,
+    store: &mut Store,
+    name: &str,
+    batch: &[Mutation],
+) -> Result<CommitStats, StoreError> {
+    let published = store.dataset(name).map(|e| e.db_hash);
+    let published = published.ok_or_else(|| StoreError::UnknownDataset(name.to_string()))?;
+    let served = (shared.datasets.read().expect("registry poisoned"))
+        .get(name)
+        .filter(|p| p.stored && p.hash == published)
+        .map(|p| Arc::clone(&p.ud));
+    let mut ud = match served {
+        Some(ud) => ud,
+        None => {
+            shared.registry_resyncs.fetch_add(1, Ordering::Relaxed);
+            Server::load_stored(store, name)?.ud
+        }
+    };
+    let stats = store.commit_to(name, batch, Arc::make_mut(&mut ud))?;
+    let prepared = PreparedDb {
+        ud,
+        hash: stats.db_hash,
+        facts: stats.live_facts,
+        stored: true,
+    };
+    let old =
+        (shared.datasets.write().expect("registry poisoned")).insert(name.to_string(), prepared);
+    // Free the old model (if no solve still holds it) outside the lock.
+    drop(old);
+    Ok(stats)
 }
 
 /// Map a store failure onto the wire. Validation problems are the
@@ -1712,10 +1751,10 @@ fn parse_fact_batch(
 
 /// `POST`/`DELETE /v1/datasets/{name}/facts`: batched fact mutations
 /// against the persistent store. The batch commits atomically (one
-/// segment, one manifest publish); on success the in-memory registry
-/// entry is swapped for a rebuild, so subsequent solves see the new
-/// model under its new db-hash — old cache entries for this dataset
-/// become unreachable, every other dataset's entries are untouched.
+/// segment, one manifest publish); on success the registry entry is
+/// swapped for the served model patched in place, so subsequent solves
+/// see the new model under its new db-hash — old cache entries for this
+/// dataset become unreachable, every other dataset's entries are untouched.
 fn dataset_facts(shared: &Shared, req: &Request) -> Response {
     let rest = &req.path["/v1/datasets/".len()..];
     let name = match rest.strip_suffix("/facts") {
@@ -1748,32 +1787,14 @@ fn dataset_facts(shared: &Shared, req: &Request) -> Response {
         Ok(b) => b,
         Err(m) => return Response::json(400, error_body(400, &m, None)),
     };
-    // Commit and rebuild under the store lock so two racing batches
-    // cannot interleave their registry swaps out of commit order.
-    let (stats, ud) = {
-        let mut store = store.lock().expect("store poisoned");
-        let stats = match store.commit(name, &batch) {
-            Ok(s) => s,
-            Err(e) => return store_error_response(&e),
-        };
-        let ud = match store.load(name).and_then(|mut ds| ds.build()) {
-            Ok(ud) => ud,
-            Err(e) => return store_error_response(&e),
-        };
-        (stats, ud)
+    // Commit and swap under the store lock, so two racing batches
+    // cannot swap the registry out of commit order.
+    let mut store = store.lock().expect("store poisoned");
+    let stats = match commit_live(shared, &mut store, name, &batch) {
+        Ok(s) => s,
+        Err(e) => return store_error_response(&e),
     };
-    {
-        let mut datasets = shared.datasets.write().expect("registry poisoned");
-        datasets.insert(
-            name.to_string(),
-            PreparedDb {
-                ud: Arc::new(ud),
-                hash: stats.db_hash,
-                facts: stats.live_facts,
-                stored: true,
-            },
-        );
-    }
+    drop(store);
     let body = Value::Object(vec![
         ("dataset".into(), Value::Str(name.to_string())),
         ("rows".into(), Value::Int(stats.rows as i128)),
@@ -1790,12 +1811,7 @@ fn dataset_facts(shared: &Shared, req: &Request) -> Response {
             },
         ),
     ]);
-    Response::json(
-        200,
-        serde_json::to_string(&body)
-            .expect("value serialization is infallible")
-            .into_bytes(),
-    )
+    json_ok(&body)
 }
 
 #[cfg(test)]

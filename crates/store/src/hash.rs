@@ -121,30 +121,30 @@ pub fn db_hash_of(ud: &UnreliableDatabase) -> u64 {
             h ^= fact_state_hash(sym.name(), tuple, true, &mu.to_string());
         }
     }
-    // Absent-but-uncertain facts (μ ≠ 0 on a fact the observed database
-    // lacks) are non-default too.
-    for idx in ud.uncertain_facts() {
-        let fact = ud.indexer().fact_at(idx);
-        if !obs.holds(&fact) {
-            let name = obs.vocabulary().symbols()[fact.relation].name();
-            h ^= fact_state_hash(name, &fact.tuple, false, &ud.mu_at(idx).to_string());
-        }
+    for fact in absent_error_facts(ud) {
+        let name = obs.vocabulary().symbols()[fact.relation].name();
+        h ^= fact_state_hash(name, &fact.tuple, false, &ud.mu(&fact).to_string());
     }
     h
 }
 
-/// Number of non-default facts in a model: observed tuples plus
-/// absent-but-uncertain facts. This is the "live facts" figure the
-/// store tracks per dataset and `/healthz` reports.
+/// Facts the observed database lacks but whose `μ ≠ 0`: non-default
+/// states, just like observed tuples. Every `μ` is walked, not only
+/// [`UnreliableDatabase::uncertain_facts`] — an absent fact with `μ = 1`
+/// is present in every world, and dropping it changes answers.
+pub(crate) fn absent_error_facts(ud: &UnreliableDatabase) -> impl Iterator<Item = Fact> + '_ {
+    let indexer = ud.indexer();
+    (0..indexer.total())
+        .filter(move |&i| !ud.mu_at(i).is_zero())
+        .map(move |i| indexer.fact_at(i))
+        .filter(move |fact| !ud.observed().holds(fact))
+}
+
+/// Number of non-default facts in a model: observed tuples plus absent
+/// facts with `μ ≠ 0`. This is the "live facts" figure the store tracks
+/// per dataset and `/healthz` reports.
 pub fn live_fact_count(ud: &UnreliableDatabase) -> u64 {
-    let obs = ud.observed();
-    let mut live = obs.tuple_count() as u64;
-    for idx in ud.uncertain_facts() {
-        if !obs.holds(&ud.indexer().fact_at(idx)) {
-            live += 1;
-        }
-    }
-    live
+    (ud.observed().tuple_count() + absent_error_facts(ud).count()) as u64
 }
 
 #[cfg(test)]
@@ -235,8 +235,15 @@ mod tests {
 
     #[test]
     fn live_fact_count_counts_absent_uncertain_facts() {
-        let ud = sample_ud();
+        let mut ud = sample_ud();
         // 3 observed tuples + S(0) absent-but-uncertain.
         assert_eq!(live_fact_count(&ud), 4);
+        // An absent fact with μ = 1 is certain, not uncertain, but it is
+        // still a non-default state: it counts and it moves the hash.
+        let h = db_hash_of(&ud);
+        ud.set_error(&Fact::new(1, vec![1]), BigRational::one())
+            .unwrap();
+        assert_eq!(live_fact_count(&ud), 5);
+        assert_eq!(db_hash_of(&ud), h ^ fact_state_hash("S", &[1], false, "1"));
     }
 }

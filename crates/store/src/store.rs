@@ -1,7 +1,7 @@
 //! The store itself: open/init, batched commits, lazy reads, recovery,
 //! and compaction.
 
-use crate::hash::{base_hash, fact_state_hash};
+use crate::hash::{absent_error_facts, base_hash, fact_state_hash};
 use crate::manifest::{
     manifest_path, read_manifest, segments_dir, write_manifest, DatasetEntry, Manifest, RelDecl,
     SegmentRef,
@@ -161,6 +161,61 @@ fn op_to_state(op: &FactOp) -> FactState {
     }
 }
 
+fn error_model(entry: &DatasetEntry) -> Result<ErrorModel, StoreError> {
+    match entry.model.as_str() {
+        "full" => Ok(ErrorModel::Full),
+        "positive-only" => Ok(ErrorModel::PositiveOnly),
+        other => Err(StoreError::Corrupt(format!(
+            "unknown model {other:?} in manifest"
+        ))),
+    }
+}
+
+/// Put one stored fact state into a model. A full [`StoredDataset::build`]
+/// and an incremental [`Store::commit_to`] both go through here, so a
+/// patched model and a rebuilt one cannot drift apart.
+fn apply_state(
+    ud: &mut UnreliableDatabase,
+    relation: usize,
+    tuple: &[u32],
+    state: &FactState,
+) -> Result<(), StoreError> {
+    let mu = state_mu(state);
+    let p = if mu == "0" {
+        BigRational::zero()
+    } else {
+        BigRational::parse(mu)
+            .map_err(|e| StoreError::Corrupt(format!("bad stored probability {mu:?}: {e}")))?
+    };
+    ud.set_fact_state(&Fact::new(relation, tuple.to_vec()), state.0, p)
+        .map_err(|e| StoreError::Corrupt(e.to_string()))
+}
+
+/// A fact's state as a live model holds it, in the store's canonical
+/// form (`μ` as a canonical [`BigRational`] string).
+fn model_state(ud: &UnreliableDatabase, relation: usize, tuple: &[u32]) -> FactState {
+    let fact = Fact::new(relation, tuple.to_vec());
+    (ud.observed().holds(&fact), ud.mu(&fact).to_string())
+}
+
+/// `true` when `ud` has the dataset's universe, relations and error
+/// model, so its fact indices mean what the manifest's do.
+fn model_matches(entry: &DatasetEntry, ud: &UnreliableDatabase) -> bool {
+    let obs = ud.observed();
+    let symbols = obs.vocabulary().symbols();
+    obs.size() == entry.universe.len()
+        && symbols.len() == entry.relations.len()
+        && symbols
+            .iter()
+            .zip(&entry.relations)
+            .all(|(s, r)| s.name() == r.name && s.arity() == r.arity as usize)
+        && error_model(entry).ok() == Some(ud.model())
+}
+
+/// A validated batch: the last mutation per fact, keyed by (relation
+/// index in vocabulary order, tuple), with canonical `μ` strings.
+type Staged = BTreeMap<(usize, Vec<u32>), FactOp>;
+
 // ---------------------------------------------------------------------------
 // Read path
 
@@ -175,6 +230,22 @@ pub struct StoredDataset {
 }
 
 impl StoredDataset {
+    /// Read every segment the entry references.
+    fn read(dir: &Path, entry: &DatasetEntry) -> Result<StoredDataset, StoreError> {
+        let seg_dir = segments_dir(dir);
+        let mut segments = Vec::with_capacity(entry.segments.len());
+        for s in &entry.segments {
+            let bytes = fs::read(seg_dir.join(&s.file))
+                .map_err(|e| StoreError::Corrupt(format!("cannot read segment {}: {e}", s.file)))?;
+            segments.push(bytes);
+        }
+        Ok(StoredDataset {
+            entry: entry.clone(),
+            segments,
+            merged: HashMap::new(),
+        })
+    }
+
     /// The manifest entry this view was opened from.
     pub fn entry(&self) -> &DatasetEntry {
         &self.entry
@@ -259,58 +330,20 @@ impl StoredDataset {
         Ok(live)
     }
 
-    /// Reconstruct the observed [`Database`] (present facts only).
-    pub fn database(&mut self) -> Result<Database, StoreError> {
+    /// Reconstruct the full [`UnreliableDatabase`] model.
+    pub fn build(&mut self) -> Result<UnreliableDatabase, StoreError> {
         let universe = Universe::from_names(self.entry.universe.clone());
         let mut vocab = Vocabulary::new();
         for r in &self.entry.relations {
             vocab.add(RelationSymbol::new(r.name.clone(), r.arity as usize));
         }
-        let mut db = Database::empty(vocab, universe);
-        let decls = self.entry.relations.clone();
-        for (ri, r) in decls.iter().enumerate() {
-            let tuples: Vec<Vec<u32>> = self
-                .relation_state(&r.name)?
-                .iter()
-                .filter(|(_, s)| s.0)
-                .map(|(t, _)| t.clone())
-                .collect();
-            for t in tuples {
-                db.set_fact(&Fact::new(ri, t), true);
-            }
-        }
-        Ok(db)
-    }
-
-    /// Reconstruct the full [`UnreliableDatabase`] model.
-    pub fn build(&mut self) -> Result<UnreliableDatabase, StoreError> {
-        let db = self.database()?;
-        let model = match self.entry.model.as_str() {
-            "full" => ErrorModel::Full,
-            "positive-only" => ErrorModel::PositiveOnly,
-            other => {
-                return Err(StoreError::Corrupt(format!(
-                    "unknown model {other:?} in manifest"
-                )))
-            }
-        };
-        let mut ud = UnreliableDatabase::reliable(db)
-            .with_model(model)
+        let mut ud = UnreliableDatabase::reliable(Database::empty(vocab, universe))
+            .with_model(error_model(&self.entry)?)
             .map_err(|e| StoreError::Corrupt(e.to_string()))?;
         let decls = self.entry.relations.clone();
         for (ri, r) in decls.iter().enumerate() {
-            let uncertain: Vec<(Vec<u32>, String)> = self
-                .relation_state(&r.name)?
-                .iter()
-                .filter(|(_, s)| state_mu(s) != "0")
-                .map(|(t, s)| (t.clone(), state_mu(s).to_string()))
-                .collect();
-            for (tuple, mu) in uncertain {
-                let p = BigRational::parse(&mu).map_err(|e| {
-                    StoreError::Corrupt(format!("bad stored probability {mu:?}: {e}"))
-                })?;
-                ud.set_error(&Fact::new(ri, tuple), p)
-                    .map_err(|e| StoreError::Corrupt(e.to_string()))?;
+            for (tuple, state) in self.relation_state(&r.name)? {
+                apply_state(&mut ud, ri, tuple, state)?;
             }
         }
         Ok(ud)
@@ -502,23 +535,13 @@ impl Store {
 
     /// Open a dataset for reading.
     pub fn load(&self, name: &str) -> Result<StoredDataset, StoreError> {
-        let entry = self
-            .manifest
+        StoredDataset::read(&self.dir, self.entry(name)?)
+    }
+
+    fn entry(&self, name: &str) -> Result<&DatasetEntry, StoreError> {
+        self.manifest
             .dataset(name)
-            .ok_or_else(|| StoreError::UnknownDataset(name.to_string()))?
-            .clone();
-        let seg_dir = segments_dir(&self.dir);
-        let mut segments = Vec::with_capacity(entry.segments.len());
-        for s in &entry.segments {
-            let bytes = fs::read(seg_dir.join(&s.file))
-                .map_err(|e| StoreError::Corrupt(format!("cannot read segment {}: {e}", s.file)))?;
-            segments.push(bytes);
-        }
-        Ok(StoredDataset {
-            entry,
-            segments,
-            merged: HashMap::new(),
-        })
+            .ok_or_else(|| StoreError::UnknownDataset(name.to_string()))
     }
 
     /// Full-integrity pass over one dataset: every page checksum, plus
@@ -546,16 +569,18 @@ impl Store {
         Ok(())
     }
 
-    /// Validate one mutation against the dataset's shape and model.
-    fn validate(entry: &DatasetEntry, m: &Mutation) -> Result<(), StoreError> {
-        let decl = entry
+    /// Validate one mutation against the dataset's shape and model, and
+    /// return its relation's index in vocabulary order.
+    fn validate(entry: &DatasetEntry, m: &Mutation) -> Result<usize, StoreError> {
+        let ri = entry
             .relations
             .iter()
-            .find(|r| r.name == m.relation)
+            .position(|r| r.name == m.relation)
             .ok_or_else(|| StoreError::UnknownRelation {
                 dataset: entry.name.clone(),
                 relation: m.relation.clone(),
             })?;
+        let decl = &entry.relations[ri];
         if decl.arity as usize != m.tuple.len() {
             return Err(StoreError::ArityMismatch {
                 relation: m.relation.clone(),
@@ -576,10 +601,10 @@ impl Store {
                 relation: m.relation.clone(),
                 reason: e.to_string(),
             })?;
-            if p > BigRational::one() {
+            if !p.is_probability() {
                 return Err(StoreError::BadProbability {
                     relation: m.relation.clone(),
-                    reason: format!("{mu} > 1"),
+                    reason: format!("{mu} is not in [0, 1]"),
                 });
             }
             if entry.model == "positive-only" && !present && !p.is_zero() {
@@ -588,7 +613,7 @@ impl Store {
                 });
             }
         }
-        Ok(())
+        Ok(ri)
     }
 
     /// Write a segment image to `segments/` crash-safely: temp file,
@@ -629,21 +654,70 @@ impl Store {
 
     /// Apply a batch of staged mutations as one atomic commit: one new
     /// segment, one manifest publish, and an incremental db-hash update
-    /// covering exactly the touched facts.
+    /// covering exactly the touched facts. The touched facts' old states
+    /// are read back from the segments on disk.
     pub fn commit(&mut self, dataset: &str, batch: &[Mutation]) -> Result<CommitStats, StoreError> {
-        let started = Instant::now();
-        let entry = self
-            .manifest
-            .dataset(dataset)
-            .ok_or_else(|| StoreError::UnknownDataset(dataset.to_string()))?
-            .clone();
-        for m in batch {
-            Self::validate(&entry, m)?;
+        let dir = self.dir.clone();
+        let (stats, _) = self.commit_with(dataset, batch, |entry, staged| {
+            let mut view = StoredDataset::read(&dir, entry)?;
+            staged
+                .keys()
+                .map(|(ri, tuple)| view.fact_state(&entry.relations[*ri].name, tuple))
+                .collect()
+        })?;
+        Ok(stats)
+    }
+
+    /// [`Store::commit`] against a live model of the dataset: the old
+    /// states come from `ud` instead of disk, and once the manifest is
+    /// published `ud` is patched to the new states, so it equals what a
+    /// fresh [`Store::load`] + [`StoredDataset::build`] would return.
+    /// On any error `ud` is left untouched. The caller must pass the
+    /// model of the dataset's current state (its db-hash equal to the
+    /// manifest's); a model of another shape is refused as corrupt.
+    pub fn commit_to(
+        &mut self,
+        dataset: &str,
+        batch: &[Mutation],
+        ud: &mut UnreliableDatabase,
+    ) -> Result<CommitStats, StoreError> {
+        let (stats, staged) = self.commit_with(dataset, batch, |entry, staged| {
+            if !model_matches(entry, ud) {
+                return Err(StoreError::Corrupt(format!(
+                    "live model does not match dataset {:?}",
+                    entry.name
+                )));
+            }
+            Ok(staged
+                .keys()
+                .map(|(ri, tuple)| model_state(ud, *ri, tuple))
+                .collect())
+        })?;
+        for ((ri, tuple), op) in &staged {
+            apply_state(ud, *ri, tuple, &op_to_state(op))?;
         }
+        Ok(stats)
+    }
+
+    /// The one commit body behind [`Store::commit`] and
+    /// [`Store::commit_to`]: validate and stage the batch, ask
+    /// `old_states` for the touched facts' current states (in staged
+    /// order; not called for an empty batch), fold the hash delta,
+    /// encode, and publish segment then manifest. Returns the stats and
+    /// the staged batch.
+    fn commit_with(
+        &mut self,
+        dataset: &str,
+        batch: &[Mutation],
+        old_states: impl FnOnce(&DatasetEntry, &Staged) -> Result<Vec<FactState>, StoreError>,
+    ) -> Result<(CommitStats, Staged), StoreError> {
+        let started = Instant::now();
+        let entry = self.entry(dataset)?;
         // Stage: last mutation per (relation, tuple) wins; canonicalize
         // probability strings so "2/4" and "1/2" hash identically.
-        let mut staged: BTreeMap<(String, Vec<u32>), FactOp> = BTreeMap::new();
+        let mut staged = Staged::new();
         for m in batch {
+            let ri = Self::validate(entry, m)?;
             let op = match &m.op {
                 FactOp::Reset => FactOp::Reset,
                 FactOp::Set { present, mu } => FactOp::Set {
@@ -651,45 +725,45 @@ impl Store {
                     mu: BigRational::parse(mu).expect("validated above").to_string(),
                 },
             };
-            staged.insert((m.relation.clone(), m.tuple.clone()), op);
+            staged.insert((ri, m.tuple.clone()), op);
         }
         if staged.is_empty() {
-            return Ok(CommitStats {
+            let stats = CommitStats {
                 segment: None,
                 rows: 0,
                 live_facts: entry.live_facts,
                 db_hash: entry.db_hash,
                 elapsed_ms: 0,
-            });
+            };
+            return Ok((stats, staged));
         }
 
-        // Old states of exactly the touched facts, via the lazy reader.
-        let mut view = self.load(dataset)?;
+        // Old states of exactly the touched facts.
+        let old = old_states(entry, &staged)?;
         let mut db_hash = entry.db_hash;
         let mut live = entry.live_facts as i64;
-        for ((relation, tuple), op) in &staged {
-            let old = view.fact_state(relation, tuple)?;
+        for (((ri, tuple), op), old) in staged.iter().zip(&old) {
+            let relation = &entry.relations[*ri].name;
             let new = op_to_state(op);
-            db_hash ^= state_hash(relation, tuple, &old) ^ state_hash(relation, tuple, &new);
-            live += i64::from(!is_default(&new)) - i64::from(!is_default(&old));
+            db_hash ^= state_hash(relation, tuple, old) ^ state_hash(relation, tuple, &new);
+            live += i64::from(!is_default(&new)) - i64::from(!is_default(old));
         }
 
         // Encode: one block per touched relation, vocabulary order,
-        // tuples sorted — byte-deterministic for identical batches.
-        let mut blocks = Vec::new();
-        for decl in &entry.relations {
-            let rows: Vec<(Vec<u32>, FactOp)> = staged
-                .iter()
-                .filter(|((r, _), _)| *r == decl.name)
-                .map(|((_, t), op)| (t.clone(), op.clone()))
-                .collect();
-            if !rows.is_empty() {
+        // tuples sorted — byte-deterministic for identical batches. The
+        // staged keys already iterate in exactly that order.
+        let mut blocks: Vec<RelationBlock> = Vec::new();
+        for ((ri, tuple), op) in &staged {
+            let decl = &entry.relations[*ri];
+            if blocks.last().map(|b| &b.relation) != Some(&decl.name) {
                 blocks.push(RelationBlock {
                     relation: decl.name.clone(),
                     arity: decl.arity as usize,
-                    rows,
+                    rows: Vec::new(),
                 });
             }
+            let block = blocks.last_mut().expect("pushed above");
+            block.rows.push((tuple.clone(), op.clone()));
         }
         let image = encode_segment(&blocks);
         let file = format!("{dataset}-{:08}.seg", entry.next_seq);
@@ -723,13 +797,14 @@ impl Store {
         write_manifest(&self.dir, &self.manifest).map_err(StoreError::Io)?;
         let elapsed_ms = started.elapsed().as_millis() as u64;
         self.last_commit_ms = elapsed_ms;
-        Ok(CommitStats {
+        let stats = CommitStats {
             segment: Some(file),
             rows,
             live_facts,
             db_hash,
             elapsed_ms,
-        })
+        };
+        Ok((stats, staged))
     }
 
     /// Rewrite a dataset as a single segment holding only live facts.
@@ -838,17 +913,10 @@ impl Store {
                 batch.push(Mutation::set(sym.name(), tuple.clone(), true, &mu));
             }
         }
-        for idx in ud.uncertain_facts() {
-            let fact = ud.indexer().fact_at(idx);
-            if !obs.holds(&fact) {
-                let name = obs.vocabulary().symbols()[fact.relation].name();
-                batch.push(Mutation::set(
-                    name,
-                    fact.tuple.clone(),
-                    false,
-                    &ud.mu_at(idx).to_string(),
-                ));
-            }
+        for fact in absent_error_facts(&ud) {
+            let rel = obs.vocabulary().symbols()[fact.relation].name();
+            let mu = ud.mu(&fact).to_string();
+            batch.push(Mutation::set(rel, fact.tuple, false, &mu));
         }
         self.commit(name, &batch)
     }
@@ -977,6 +1045,7 @@ mod tests {
             Mutation::set("S", vec![0, 0], true, "0"),
             Mutation::set("S", vec![9], true, "0"),
             Mutation::set("S", vec![0], true, "3/2"),
+            Mutation::set("S", vec![0], true, "-1/2"),
             Mutation::set("S", vec![0], true, "nope"),
         ];
         for m in bad {
@@ -987,6 +1056,44 @@ mod tests {
         }
         // Nothing landed.
         assert_eq!(store.dataset("d").unwrap().segments.len(), 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn commit_to_patches_the_live_model_like_a_rebuild() {
+        let dir = tmp_dir("commit-to");
+        let mut store = Store::init(&dir).unwrap();
+        store.ingest_spec("d", &sample_spec()).unwrap();
+        let mut live = store.load("d").unwrap().build().unwrap();
+        let batch = [
+            Mutation::set("E", vec![0, 1], false, "1"),
+            Mutation::reset("S", vec![2]),
+            Mutation::set("S", vec![1], true, "2/6"),
+        ];
+        let stats = store.commit_to("d", &batch, &mut live).unwrap();
+        let rebuilt = store.load("d").unwrap().build().unwrap();
+        assert_eq!(
+            UnreliableDatabaseSpec::from_model(&live),
+            UnreliableDatabaseSpec::from_model(&rebuilt)
+        );
+        assert_eq!(stats.db_hash, db_hash_of(&live));
+        store.verify("d").unwrap();
+
+        // A model of another shape is refused before anything lands.
+        let mut other = UnreliableDatabase::reliable(
+            DatabaseBuilder::new()
+                .universe_size(2)
+                .relation("E", 2)
+                .relation("S", 1)
+                .build(),
+        );
+        let before = UnreliableDatabaseSpec::from_model(&other);
+        assert!(matches!(
+            store.commit_to("d", &batch, &mut other),
+            Err(StoreError::Corrupt(_))
+        ));
+        assert_eq!(UnreliableDatabaseSpec::from_model(&other), before);
+        assert_eq!(store.dataset("d").unwrap().db_hash, stats.db_hash);
         fs::remove_dir_all(&dir).unwrap();
     }
 

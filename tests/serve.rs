@@ -9,6 +9,7 @@ use std::time::Duration;
 use qrel::prelude::*;
 use qrel::prob::UnreliableDatabaseSpec;
 use qrel::serve::{protocol, Server, ServerConfig, ServerHandle};
+use qrel::store::{db_hash_of, Store};
 
 fn data_path(name: &str) -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/data")).join(name)
@@ -454,4 +455,143 @@ fn binary_sigterm_during_long_solve_forces_drain_and_exits_3() {
     // Exit 3 = forced drain, distinguishing it from the clean SIGTERM
     // exit (0) the idle test above observes.
     assert_eq!(status.code(), Some(3), "exit status: {status:?}");
+}
+
+/// A one-dataset store (`d`: `S/1` over four elements, one uncertain
+/// fact) for the fact-write tests.
+fn small_store(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("qrel-serve-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = DatabaseBuilder::new()
+        .universe_size(4)
+        .relation("S", 1)
+        .tuples("S", [vec![0]])
+        .build();
+    let mut ud = UnreliableDatabase::reliable(db);
+    ud.set_error(&Fact::new(0, vec![0]), BigRational::from_ratio(1, 10))
+        .unwrap();
+    let mut store = Store::init(&dir).unwrap();
+    store
+        .ingest_spec("d", &UnreliableDatabaseSpec::from_model(&ud))
+        .unwrap();
+    dir
+}
+
+fn listed_hash(addr: SocketAddr) -> String {
+    let (status, _, list) = http(addr, "GET", "/v1/datasets", "");
+    assert_eq!(status, 200, "{list}");
+    let at = list.find("\"db_hash\":\"").expect("a listed hash") + 11;
+    list[at..at + 16].to_string()
+}
+
+/// Two clients race one-fact writes at one stored dataset. However the
+/// commits interleave, the registry must end on the state the store
+/// published last — `/v1/datasets`, a reopened manifest and the served
+/// model's own hash agree — and no write may ever find the registry
+/// behind the manifest (the resync counter stays at zero).
+#[test]
+fn racing_fact_writes_leave_the_registry_on_the_published_state() {
+    let _quiet = qrel_faults::quiesce();
+    let dir = small_store("race");
+    let (addr, handle, join) = boot(ServerConfig {
+        workers: 4,
+        store: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+    let writers: Vec<_> = (0..2u32)
+        .map(|t| {
+            let start = std::sync::Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                for i in 0..40u32 {
+                    let body = format!(
+                        r#"{{"facts":[{{"relation":"S","tuple":[{}],"mu":"1/{}"}}]}}"#,
+                        i % 4,
+                        3 + 100 * t + i
+                    );
+                    let (status, _, reply) = http(addr, "POST", "/v1/datasets/d/facts", &body);
+                    assert_eq!(status, 200, "{reply}");
+                }
+            })
+        })
+        .collect();
+    for w in writers {
+        w.join().unwrap();
+    }
+    let listed = listed_hash(addr);
+    let (served, served_hash) = handle.dataset("d").unwrap();
+    assert_eq!(
+        metric(&handle.metrics_text(), "qrel_store_registry_resync_total"),
+        0
+    );
+    handle.shutdown();
+    join.join().unwrap();
+
+    let store = Store::open(&dir).unwrap();
+    let published = store.dataset("d").unwrap().db_hash;
+    assert_eq!(listed, format!("{published:016x}"));
+    assert_eq!(served_hash, published);
+    assert_eq!(db_hash_of(&served), published);
+    let rebuilt = store.load("d").unwrap().build().unwrap();
+    assert_eq!(
+        UnreliableDatabaseSpec::from_model(&served),
+        UnreliableDatabaseSpec::from_model(&rebuilt)
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A fact write killed inside the store — a torn segment write, or a
+/// crash between segment and manifest publish — is a tagged, retryable
+/// 500 that changes nothing a reader can see: the served hash, the
+/// dataset listing and a repeated solve's bytes. The same write then
+/// succeeds once the fault is gone.
+#[test]
+fn faulted_fact_write_is_a_tagged_500_and_changes_nothing() {
+    for point in [
+        qrel_faults::points::STORE_SEGMENT_TORN_WRITE,
+        qrel_faults::points::STORE_COMMIT_CRASH,
+    ] {
+        let dir = small_store("fault");
+        let (addr, handle, join) = boot(ServerConfig {
+            workers: 2,
+            store: Some(dir.clone()),
+            ..ServerConfig::default()
+        });
+        let solve = r#"{"dataset":"d","query":"exists x. S(x)","method":"exact"}"#;
+        let write = r#"{"facts":[{"relation":"S","tuple":[2],"mu":"1/4"}]}"#;
+        let (_, _, answer) = http(addr, "POST", "/v1/solve", solve);
+        let listed = listed_hash(addr);
+        let (_, served_hash) = handle.dataset("d").unwrap();
+        {
+            let _armed = qrel_faults::FaultPlan::new(7)
+                .with_rule(point, 1.0, 0, 1)
+                .arm();
+            let (status, _, reply) = http(addr, "POST", "/v1/datasets/d/facts", write);
+            assert_eq!(status, 500, "{point}: {reply}");
+            let env = protocol::ErrorEnvelope::from_body(reply.as_bytes()).unwrap();
+            assert_eq!(env.code, "internal", "{point}");
+            assert!(env.retryable, "{point}");
+            assert!(env.message.contains("injected fault"), "{point}: {reply}");
+        }
+        let _quiet = qrel_faults::quiesce();
+        assert_eq!(handle.dataset("d").unwrap().1, served_hash, "{point}");
+        assert_eq!(listed_hash(addr), listed, "{point}");
+        assert_eq!(http(addr, "POST", "/v1/solve", solve).2, answer, "{point}");
+
+        let (status, _, reply) = http(addr, "POST", "/v1/datasets/d/facts", write);
+        assert_eq!(status, 200, "{point}: {reply}");
+        assert_ne!(listed_hash(addr), listed, "{point}");
+        let (_, h, moved) = http(addr, "POST", "/v1/solve", solve);
+        assert_eq!(header(&h, "X-Qrel-Cache"), Some("miss"), "{point}");
+        assert_ne!(moved, answer, "{point}");
+        assert_eq!(
+            metric(&handle.metrics_text(), "qrel_store_registry_resync_total"),
+            0,
+            "{point}"
+        );
+        handle.shutdown();
+        join.join().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
